@@ -230,34 +230,14 @@ fn alfp_series() {
         median_ns: warm_median.as_nanos(),
     });
 
-    // Tracing toggle: the cold sweep again with span collection enabled.
-    // The *untraced* legs above are what the gate compares against the
-    // committed baseline — instrumentation sitting in the same code path
-    // means any disabled-path overhead would surface as an
-    // `engine_cold_vs_warm` regression.  This traced leg is its own series
-    // (informational until baselined) showing what `--profile` costs.
+    // The untraced legs above are what the gate compares against the
+    // committed baseline: instrumentation sits in the same code path, so
+    // any disabled-path overhead surfaces as an `engine_cold_vs_warm`
+    // regression.
     assert!(
         Engine::default().trace_sink().is_none(),
         "disabled tracing must allocate no sink at all"
     );
-    let traced_options = AnalysisOptions::builder().trace(true).build();
-    let (traced_edges, traced_median) = measure(5, || {
-        let engine = Engine::with_options(traced_options);
-        jobs.iter()
-            .map(|j| {
-                let a = engine.analyze_source(&j.source).expect("corpus parses");
-                a.flow_graph().expect("unlimited budget").edge_count()
-            })
-            .sum::<usize>()
-    });
-    assert_eq!(edges, traced_edges, "tracing must not change any artifact");
-    println!("    traced cold: edges={traced_edges:<6} median={traced_median:?}");
-    points.push(BenchPoint {
-        workload: "engine_traced_cold",
-        size: 0,
-        tuples: jobs.len(),
-        median_ns: traced_median.as_nanos(),
-    });
 
     // Demand-driven laziness: querying only the base flow graph through a
     // default-options engine skips the Table-9 closure entirely; the eager

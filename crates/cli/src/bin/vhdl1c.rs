@@ -61,7 +61,8 @@ usage:
       revision; only the work differs (untouched processes are reused).
       --seed N          stream seed (default 1)
       --processes N     processes in the design (default 8, min 2)
-      --edits N         single-process mutations to replay (default 4)
+      --edits N         single-process mutations to replay (default 4,
+                        at most 2 per process)
       Takes analyze's --format, --policy, --out, --budget, --base,
       --no-cache, --cache-dir, --timing, --stats and --profile[=FILE]
       options, plus:
@@ -389,6 +390,12 @@ fn edit_stream_command(args: &[String]) -> Result<ExitCode, CliError> {
         return Err(usage("--processes must be at least 2"));
     }
     let edits = parse_u("--edits", take_value(&mut args, "--edits")?, 4)?;
+    let max_edits = vhdl1_corpus::edit::max_edits(processes);
+    if edits > max_edits {
+        return Err(usage(format!(
+            "--edits {edits} exceeds the limit of {max_edits} for --processes {processes}"
+        )));
+    }
 
     let mut opts = BatchOptions::default();
     if let Some(fmt) = take_value(&mut args, "--format")? {

@@ -8,8 +8,8 @@
 //! * the `"deterministic"` object (rendered on a single line so scripts can
 //!   `grep`+`cmp` it) carries only counters that are byte-identical across
 //!   runs and worker counts: stage run/memo-hit counts, work and artifact
-//!   totals, engine cache hits/misses, dedup counts.  `xtask
-//!   profile-series` folds these into `BENCH_alfp.json`;
+//!   totals, engine cache hits/misses, dedup counts.  The CLI's profile
+//!   tests pin these on a fixed corpus;
 //! * everything else (span wall times, self-time histograms, pool queue
 //!   wait and utilization, watchdog events) varies run to run and exists
 //!   for humans and dashboards, never for gating.

@@ -105,3 +105,31 @@ fn warm_store_replay_only_lowers_recomputation_and_keeps_bytes() {
     assert_eq!(warm_t.stats.units_reused, ((3 + 1) * 6) as u64);
     assert_eq!(warm_t.stats.frontend, 0, "warm replay must not re-parse");
 }
+
+/// Asking for more edits than the stream can make is a usage error of the
+/// binary, not a panic inside the generator.
+#[test]
+fn binary_rejects_more_edits_than_the_stream_can_make() {
+    let bin = env!("CARGO_BIN_EXE_vhdl1c");
+    let max = vhdl1_corpus::edit::max_edits(8);
+    let run = |edits: usize| {
+        std::process::Command::new(bin)
+            .args(["edit-stream", "--processes", "8", "--edits"])
+            .arg(edits.to_string())
+            .output()
+            .expect("run vhdl1c edit-stream")
+    };
+    let out = run(50);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.starts_with("error: --edits 50 exceeds"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(out.stdout.is_empty());
+    // The bound itself is accepted.
+    let out = run(max);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}

@@ -144,6 +144,29 @@ fn verify_report_is_deterministic_across_runs_and_worker_counts() {
     }
 }
 
+/// Dynamic flow-witness coverage of the seed-7 smoke corpus stays
+/// complete: differential simulation witnesses every static flow-graph
+/// edge and no flow the static analysis missed.
+#[test]
+fn seed7_corpus_verify_witnesses_every_static_edge_soundly() {
+    let jobs: Vec<Job> = generate(&CorpusSpec::new(7, 25))
+        .into_iter()
+        .map(Job::from_generated)
+        .collect();
+    let batch = run_batch(
+        &jobs,
+        &BatchOptions {
+            jobs: 4,
+            ..verify_options()
+        },
+    );
+    let (covered, total) = batch.dynflow_edges();
+    assert!(total > 0, "verify must produce static edges to witness");
+    assert_eq!(covered, total, "dynamic coverage of static edges");
+    assert_eq!(batch.soundness_violations(), 0);
+    assert!(batch.check_ok());
+}
+
 #[test]
 fn same_seed_means_byte_identical_corpus_and_report() {
     let manifest_a = write_manifest(&generate(&CorpusSpec::new(7, 12)));

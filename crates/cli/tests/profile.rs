@@ -98,6 +98,41 @@ fn deterministic_counters_are_worker_count_independent() {
 }
 
 #[test]
+fn cold_corpus_runs_each_stage_once_per_unique_design() {
+    // Every unique design of a cold batch misses the source cache once and
+    // runs each stage of the default pipeline exactly once; the flow graph
+    // is built twice (analysis graph and audit graph), and neither the
+    // Table 8 base closure nor the Kemmerer baseline runs at all.  A rise
+    // in any of these counters means memoization or dedup got weaker.
+    let jobs = corpus_jobs(7, 25);
+    let (_, telemetry) = run_batch_traced(
+        &jobs,
+        &BatchOptions {
+            jobs: 4,
+            profile: true,
+            ..BatchOptions::default()
+        },
+    );
+    let unique = telemetry.unique_jobs as u64;
+    assert_eq!(unique, 25);
+    assert_eq!(telemetry.stats.cache_misses, unique);
+    let totals = telemetry.trace.expect("profiled run").stage_totals();
+    let runs = |stage: &str| {
+        totals
+            .iter()
+            .find(|agg| agg.stage == stage)
+            .unwrap_or_else(|| panic!("stage `{stage}` missing from totals"))
+            .count
+    };
+    for stage in ["frontend", "rd", "local", "specialized", "improved"] {
+        assert_eq!(runs(stage), unique, "{stage} runs");
+    }
+    assert_eq!(runs("flow_graph"), 2 * unique, "flow_graph runs");
+    assert_eq!(runs("global"), 0, "global runs");
+    assert_eq!(runs("kemmerer"), 0, "kemmerer runs");
+}
+
+#[test]
 fn span_counts_match_engine_stats() {
     let jobs = corpus_jobs(3, 8);
     let (_, telemetry) = run_batch_traced(

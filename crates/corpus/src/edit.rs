@@ -58,6 +58,13 @@ impl EditStream {
     }
 }
 
+/// The most edits [`edit_stream`] can generate for a `processes`-process
+/// design: each edit moves one process to an operator it has never held,
+/// so every process offers `OPS.len() - 1` fresh assignments.
+pub fn max_edits(processes: usize) -> usize {
+    processes * (OPS.len() - 1)
+}
+
 /// Generates a deterministic edit stream: a `processes`-process design and
 /// `edits` cumulative single-process mutations.
 ///
@@ -72,8 +79,8 @@ impl EditStream {
 /// # Panics
 ///
 /// Panics when `processes < 2` (the chain needs a head and a sink) or when
-/// `edits` exceeds the fresh operator assignments the pool can express
-/// (`processes * 2` for the three-operator pool).
+/// `edits` exceeds [`max_edits`]`(processes)`, the fresh operator
+/// assignments the pool can express.
 ///
 /// # Examples
 ///
@@ -94,10 +101,10 @@ impl EditStream {
 pub fn edit_stream(seed: u64, processes: usize, edits: usize) -> EditStream {
     assert!(processes >= 2, "edit stream needs at least two processes");
     assert!(
-        edits <= processes * (OPS.len() - 1),
+        edits <= max_edits(processes),
         "edit stream of {edits} edits exhausts the {} fresh operator \
          assignments of a {processes}-process design",
-        processes * (OPS.len() - 1)
+        max_edits(processes)
     );
     let name = format!("edit_s{seed}_p{processes}");
     let mut rng = Rng::new(seed).derive(processes as u64);

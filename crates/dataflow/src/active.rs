@@ -12,9 +12,8 @@
 use crate::cfg::{DesignCfg, ProcessCfg};
 use crate::framework::{Combine, DenseEquations, Solution, SolveExhausted};
 use crate::RdOptions;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
-use vhdl1_syntax::{Design, Ident, Label};
+use vhdl1_syntax::{Ident, Label};
 
 /// A pending signal definition: `(signal, label of the assignment)`.
 pub type SigDef = (Ident, Label);
@@ -22,7 +21,7 @@ pub type SigDef = (Ident, Label);
 /// Result of the active-signal Reaching Definitions analysis for a whole
 /// design (labels are globally unique, so the per-process solutions are
 /// stored in a single label-indexed map).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ActiveRd {
     /// The over-approximation `RD∪ϕ`.
     pub over: Solution<SigDef>,
@@ -59,8 +58,8 @@ impl ActiveRd {
 
 /// Runs the active-signal Reaching Definitions analysis (both approximations)
 /// on every process of `design`.
-pub fn active_signals_rd(design: &Design, cfg: &DesignCfg, options: &RdOptions) -> ActiveRd {
-    match active_signals_rd_bounded(design, cfg, options, u64::MAX) {
+pub fn active_signals_rd(cfg: &DesignCfg, options: &RdOptions) -> ActiveRd {
+    match active_signals_rd_bounded(cfg, options, u64::MAX) {
         Ok(rd) => rd,
         Err(e) => unreachable!("unbounded solve cannot exhaust: {e}"),
     }
@@ -74,14 +73,13 @@ pub fn active_signals_rd(design: &Design, cfg: &DesignCfg, options: &RdOptions) 
 /// Returns [`SolveExhausted`] if either fixpoint fails to converge within
 /// `max_steps` worklist iterations.
 pub fn active_signals_rd_bounded(
-    design: &Design,
     cfg: &DesignCfg,
     options: &RdOptions,
     max_steps: u64,
 ) -> Result<ActiveRd, SolveExhausted> {
-    let over = build_equations(design, cfg, options, Combine::Union).solve_bounded(max_steps)?;
+    let over = build_equations(cfg, options, Combine::Union).solve_bounded(max_steps)?;
     let under = if options.use_under_approximation {
-        build_equations(design, cfg, options, Combine::IntersectDotted).solve_bounded(max_steps)?
+        build_equations(cfg, options, Combine::IntersectDotted).solve_bounded(max_steps)?
     } else {
         // Ablation: pretend nothing is ever guaranteed to be active.
         Solution::empty_for(cfg.labels())
@@ -95,19 +93,14 @@ pub fn active_signals_rd_bounded(
 /// the restriction of the whole-design solution to this process's labels,
 /// and [`ActiveRd::concat`] over every process reproduces
 /// [`active_signals_rd`].
-pub fn active_signals_rd_process(
-    design: &Design,
-    pcfg: &ProcessCfg,
-    options: &RdOptions,
-) -> ActiveRd {
+pub fn active_signals_rd_process(pcfg: &ProcessCfg, options: &RdOptions) -> ActiveRd {
     let cfg = DesignCfg {
         processes: vec![pcfg.clone()],
     };
-    active_signals_rd(design, &cfg, options)
+    active_signals_rd(&cfg, options)
 }
 
 fn build_equations(
-    design: &Design,
     cfg: &DesignCfg,
     options: &RdOptions,
     combine: Combine,
@@ -158,7 +151,6 @@ fn build_equations(
             let init_row = eq.row_of(pcfg.init).expect("init label was added");
             eq.force_entry(init_row);
         }
-        let _ = design; // the design is only needed for documentation symmetry
     }
     eq
 }
@@ -168,7 +160,7 @@ mod tests {
     use super::*;
     use vhdl1_syntax::frontend;
 
-    fn setup(body: &str) -> (Design, DesignCfg) {
+    fn setup(body: &str) -> DesignCfg {
         let src = format!(
             "entity e is port(a : in std_logic; b : out std_logic); end e;
              architecture rtl of e is
@@ -182,14 +174,12 @@ mod tests {
                end process p;
              end rtl;"
         );
-        let d = frontend(&src).unwrap();
-        let cfg = DesignCfg::build(&d);
-        (d, cfg)
+        DesignCfg::build(&frontend(&src).unwrap())
     }
 
     fn run(body: &str) -> ActiveRd {
-        let (d, cfg) = setup(body);
-        active_signals_rd(&d, &cfg, &RdOptions::default())
+        let cfg = setup(body);
+        active_signals_rd(&cfg, &RdOptions::default())
     }
 
     #[test]
@@ -265,9 +255,8 @@ mod tests {
 
     #[test]
     fn under_approximation_disabled_by_ablation_option() {
-        let (d, cfg) = setup("t <= a; wait on a;");
+        let cfg = setup("t <= a; wait on a;");
         let rd = active_signals_rd(
-            &d,
             &cfg,
             &RdOptions {
                 use_under_approximation: false,
@@ -280,9 +269,8 @@ mod tests {
 
     #[test]
     fn straight_line_mode_removes_loop_back() {
-        let (d, cfg) = setup("t <= a; null; wait on a;");
+        let cfg = setup("t <= a; null; wait on a;");
         let rd = active_signals_rd(
-            &d,
             &cfg,
             &RdOptions {
                 process_repeats: false,
@@ -304,7 +292,7 @@ mod tests {
              end rtl;";
         let d = frontend(src).unwrap();
         let cfg = DesignCfg::build(&d);
-        let rd = active_signals_rd(&d, &cfg, &RdOptions::default());
+        let rd = active_signals_rd(&cfg, &RdOptions::default());
         // Process 2's wait (label 4) sees only its own assignment to b.
         assert_eq!(rd.may_be_active_at(4), BTreeSet::from(["b".to_string()]));
         assert_eq!(rd.may_be_active_at(2), BTreeSet::from(["t".to_string()]));
@@ -330,11 +318,11 @@ mod tests {
                 ..RdOptions::default()
             },
         ] {
-            let whole = active_signals_rd(&d, &cfg, &options);
+            let whole = active_signals_rd(&cfg, &options);
             let merged = ActiveRd::concat(
                 cfg.processes
                     .iter()
-                    .map(|p| active_signals_rd_process(&d, p, &options)),
+                    .map(|p| active_signals_rd_process(p, &options)),
             );
             assert_eq!(whole.over, merged.over);
             assert_eq!(whole.under, merged.under);

@@ -12,12 +12,11 @@
 //! initial label.  The analyses treat the initial label specially, exactly as
 //! the synthetic `null`/`while` blocks of the rewriting would.
 
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use vhdl1_syntax::{Design, Expr, Ident, Label, Stmt, Target};
 
 /// The kind of an elementary block, with the data needed by the analyses.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BlockKind {
     /// `null`.
     Null,
@@ -78,7 +77,7 @@ impl BlockKind {
 }
 
 /// An elementary block of the program.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BasicBlock {
     /// The block's label (unique across the program).
     pub label: Label,
@@ -89,7 +88,7 @@ pub struct BasicBlock {
 }
 
 /// The control-flow graph of one process.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProcessCfg {
     /// Index of the process in the design.
     pub process: usize,
@@ -180,7 +179,7 @@ impl ProcessCfg {
 
 /// The control-flow graphs of every process of a design, together with the
 /// block table indexed by label.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DesignCfg {
     /// One CFG per process, in process order.
     pub processes: Vec<ProcessCfg>,

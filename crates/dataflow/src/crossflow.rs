@@ -11,12 +11,11 @@
 //! * iterate over the wait labels of every other process.
 
 use crate::active::ActiveRd;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use vhdl1_syntax::{Design, Ident, Label};
 
 /// The cross-flow relation of a design.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CrossFlow {
     /// Wait labels per process, in process order.
     pub wait_labels: Vec<Vec<Label>>,
@@ -259,7 +258,7 @@ mod tests {
         let d = two_process_design();
         let cf = CrossFlow::build(&d);
         let cfg = DesignCfg::build(&d);
-        let active = active_signals_rd(&d, &cfg, &RdOptions::default());
+        let active = active_signals_rd(&cfg, &RdOptions::default());
         let summary = SyncSummary::build(&cf, &active);
         // p1 assigns t before each wait: t may be active at p1's waits, so
         // p2's view of "elsewhere" includes t.

@@ -34,14 +34,13 @@
 //! without materialising a set at all.
 
 use crate::dense::{iter_ones, words_for, BitMatrix, FactInterner};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::hash::Hash;
 use std::sync::OnceLock;
 use vhdl1_syntax::Label;
 
 /// How information flowing from several predecessors is combined.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Combine {
     /// May-analysis: union of predecessor exit sets.
     Union,

@@ -45,11 +45,10 @@ pub use dense::FactInterner;
 pub use framework::{solve, Combine, DenseEquations, Equations, Solution, SolveExhausted};
 pub use present::{present_rd, present_rd_bounded, Def, PresentRd, ResDef};
 
-use serde::{Deserialize, Serialize};
 use vhdl1_syntax::Design;
 
 /// Options shared by the Reaching Definitions analyses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RdOptions {
     /// Model each process as repeating indefinitely (`null; while '1' do ss`,
     /// Section 3.2) by adding loop-back edges.  Disable to analyse the
@@ -79,7 +78,7 @@ impl Default for RdOptions {
 /// Bundle of every artefact of the Reaching Definitions phase, computed in
 /// the order mandated by the paper (active signals first, then present
 /// values).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReachingDefinitions {
     /// The options the analyses were run with.
     pub options: RdOptions,
@@ -117,7 +116,7 @@ impl ReachingDefinitions {
     ) -> Result<ReachingDefinitions, SolveExhausted> {
         let cfg = DesignCfg::build(design);
         let cross = CrossFlow::build(design);
-        let active = active_signals_rd_bounded(design, &cfg, options, max_steps)?;
+        let active = active_signals_rd_bounded(&cfg, options, max_steps)?;
         let present = present_rd_bounded(design, &cfg, &cross, &active, options, max_steps)?;
         Ok(ReachingDefinitions {
             options: *options,

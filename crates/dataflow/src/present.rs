@@ -19,12 +19,11 @@ use crate::cfg::{BlockKind, DesignCfg};
 use crate::crossflow::{CrossFlow, SyncSummary};
 use crate::framework::{Combine, DenseEquations, Solution, SolveExhausted};
 use crate::RdOptions;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use vhdl1_syntax::{Design, Ident, Label};
 
 /// Where a resource obtained its current value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Def {
     /// The special marker `?`: the initial value of the resource.
     Init,
@@ -46,7 +45,7 @@ pub type ResDef = (Ident, Def);
 
 /// Result of the Reaching Definitions analysis for local variables and
 /// present signal values.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PresentRd {
     /// Entry/exit sets per label (`RDcf_entry`, `RDcf_exit`).
     pub solution: Solution<ResDef>,
@@ -213,7 +212,7 @@ mod tests {
         let d = frontend(src).unwrap();
         let cfg = DesignCfg::build(&d);
         let cross = CrossFlow::build(&d);
-        let active = active_signals_rd(&d, &cfg, options);
+        let active = active_signals_rd(&cfg, options);
         let rd = present_rd(&d, &cfg, &cross, &active, options);
         (d, cfg, rd)
     }

@@ -16,7 +16,6 @@ use crate::graph::FlowGraph;
 use crate::improved::{ImprovedClosure, ImprovedOptions};
 use crate::kemmerer::kemmerer_graph_from_matrix;
 use crate::rm::ResourceMatrix;
-use serde::{Deserialize, Serialize};
 use vhdl1_dataflow::{RdOptions, ReachingDefinitions};
 use vhdl1_syntax::Design;
 
@@ -27,7 +26,7 @@ use vhdl1_syntax::Design;
 /// [`AnalysisOptions::base`] or [`AnalysisOptions::sequential_illustration`]
 /// and mutate fields), so adding an option is never a breaking change for
 /// downstream crates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct AnalysisOptions {
     /// Options of the underlying Reaching Definitions analyses.
@@ -180,7 +179,7 @@ impl AnalysisOptionsBuilder {
 }
 
 /// Every artefact produced by the analysis pipeline.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AnalysisResult {
     /// Name of the analysed architecture.
     pub design_name: String,

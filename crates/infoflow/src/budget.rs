@@ -11,7 +11,6 @@
 //! [`CancelFlag`] are not, which is why they are checked *before* a stage
 //! is memoized rather than recorded into shared memo slots.
 
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -21,7 +20,7 @@ use std::sync::Arc;
 /// [`crate::AnalysisOptions`] and therefore participates in the engine's
 /// memo key: analyses under different budgets never share memo slots, which
 /// keeps truncation points byte-identical across runs and thread counts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Budget {
     /// Maximum accepted source length in bytes (checked before lexing).
     pub max_source_bytes: Option<u64>,

@@ -8,10 +8,9 @@
 //! "spurious flows" of overwritten variables and signals.
 
 use crate::rm::{Access, Node, ResourceMatrix};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use vhdl1_dataflow::{Def, ReachingDefinitions};
-use vhdl1_syntax::{Design, Ident, Label};
+use vhdl1_syntax::{Ident, Label};
 
 /// A closure fixpoint (Table 8 or Table 9) failed to converge within its
 /// iteration budget.
@@ -36,7 +35,7 @@ impl std::fmt::Display for ClosureExhausted {
 impl std::error::Error for ClosureExhausted {}
 
 /// The specialised Reaching Definitions relations of Table 7.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SpecializedRd {
     /// `RD†(l)`: definitions of variables / present signal values that reach
     /// *and are read at* label `l`.
@@ -230,12 +229,11 @@ fn propagation_edges(
 /// `(n, l, R0)` entry along it with a worklist, processing every entry
 /// exactly once — semi-naive evaluation specialised to Table 8's shape.
 pub fn global_closure(
-    design: &Design,
     rd: &ReachingDefinitions,
     spec: &SpecializedRd,
     local: &ResourceMatrix,
 ) -> ResourceMatrix {
-    match global_closure_bounded(design, rd, spec, local, u64::MAX) {
+    match global_closure_bounded(rd, spec, local, u64::MAX) {
         Ok(global) => global,
         Err(e) => unreachable!("unbounded closure cannot exhaust: {e}"),
     }
@@ -253,13 +251,11 @@ pub fn global_closure(
 /// Returns [`ClosureExhausted`] when the closure does not converge within
 /// `max_iterations` worklist pops.
 pub fn global_closure_bounded(
-    design: &Design,
     rd: &ReachingDefinitions,
     spec: &SpecializedRd,
     local: &ResourceMatrix,
     max_iterations: u64,
 ) -> Result<ResourceMatrix, ClosureExhausted> {
-    let _ = design;
     let mut global = local.clone();
     let wait_labels: BTreeSet<Label> = rd
         .cfg
@@ -301,7 +297,7 @@ mod tests {
     use crate::graph::FlowGraph;
     use crate::local::local_dependencies;
     use vhdl1_dataflow::RdOptions;
-    use vhdl1_syntax::frontend;
+    use vhdl1_syntax::{frontend, Design};
 
     fn sequential(vars_body: &str) -> Design {
         let src = format!(
@@ -328,7 +324,7 @@ mod tests {
         let rd = ReachingDefinitions::compute(&design, &opts);
         let local = local_dependencies(&design);
         let spec = specialize_rd(&rd, &local, true);
-        let global = global_closure(&design, &rd, &spec, &local);
+        let global = global_closure(&rd, &spec, &local);
         FlowGraph::from_resource_matrix(&global)
     }
 
@@ -380,7 +376,7 @@ mod tests {
         let rd = ReachingDefinitions::compute(&design, &opts);
         let local = local_dependencies(&design);
         let spec = specialize_rd(&rd, &local, true);
-        let global = global_closure(&design, &rd, &spec, &local);
+        let global = global_closure(&rd, &spec, &local);
         let g = FlowGraph::from_resource_matrix(&global);
         assert!(g.has_edge("a", "outa"));
         assert!(g.has_edge("b", "outb"));
@@ -414,7 +410,7 @@ mod tests {
         let rd = ReachingDefinitions::compute(&design, &RdOptions::default());
         let local = local_dependencies(&design);
         let spec = specialize_rd(&rd, &local, true);
-        let global = global_closure(&design, &rd, &spec, &local);
+        let global = global_closure(&rd, &spec, &local);
         let g = FlowGraph::from_resource_matrix(&global);
         assert!(g.has_edge("a", "t"), "direct assignment flow");
         assert!(g.has_edge("t", "v"), "present value read into variable");
@@ -436,11 +432,11 @@ mod tests {
         let local = local_dependencies(&design);
         let spec = specialize_rd(&rd, &local, true);
         // Roomy budget: identical to the unbounded closure.
-        let bounded = global_closure_bounded(&design, &rd, &spec, &local, 10_000).unwrap();
-        assert_eq!(bounded, global_closure(&design, &rd, &spec, &local));
+        let bounded = global_closure_bounded(&rd, &spec, &local, 10_000).unwrap();
+        assert_eq!(bounded, global_closure(&rd, &spec, &local));
         // Starved budget: a structured, repeatable error.
-        let e1 = global_closure_bounded(&design, &rd, &spec, &local, 1).unwrap_err();
-        let e2 = global_closure_bounded(&design, &rd, &spec, &local, 1).unwrap_err();
+        let e1 = global_closure_bounded(&rd, &spec, &local, 1).unwrap_err();
+        let e2 = global_closure_bounded(&rd, &spec, &local, 1).unwrap_err();
         assert_eq!(e1, e2);
         assert_eq!(e1.limit, 1);
         assert_eq!(e1.iterations, 2);

@@ -1211,7 +1211,7 @@ impl<'e> Workspace<'e> {
                 .units_recomputed
                 .fetch_add(1, Ordering::Relaxed);
             let cfg = ProcessCfg::build(&design.processes[pidx]);
-            let active = active_signals_rd_process(&design, &cfg, &engine.config.options.rd);
+            let active = active_signals_rd_process(&cfg, &engine.config.options.rd);
             let local = local_dependencies_process(&design, pidx);
             if let Some(store) = &engine.store {
                 let _ = store.save_unit(&UnitArtifact::of(
@@ -1608,15 +1608,14 @@ impl<'e> Analysis<'e> {
                 self.bump(&self.engine.counters.global);
                 let span = self.engine.trace_begin("global");
                 let max = self.budget().max_closure_iterations.unwrap_or(u64::MAX);
-                let result =
-                    global_closure_bounded(self.design(), rd, spec, local, max).map_err(|e| {
-                        EngineError::ResourceExhausted {
-                            stage: EngineStage::Closure,
-                            limit: e.limit,
-                            consumed: e.iterations,
-                            pos: None,
-                        }
-                    });
+                let result = global_closure_bounded(rd, spec, local, max).map_err(|e| {
+                    EngineError::ResourceExhausted {
+                        stage: EngineStage::Closure,
+                        limit: e.limit,
+                        consumed: e.iterations,
+                        pos: None,
+                    }
+                });
                 if span.is_some() {
                     let (work, items) = match &result {
                         Ok(matrix) => (matrix.len() as u64, matrix.len() as u64),

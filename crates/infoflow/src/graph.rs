@@ -11,7 +11,6 @@
 //! closure in particular) never scan the whole edge set.
 
 use crate::rm::{Access, Node, ResourceMatrix};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt::Write as _;
 use vhdl1_syntax::Label;
@@ -20,7 +19,7 @@ use vhdl1_syntax::Label;
 /// the design access each graph node.  Derived from the local Resource
 /// Matrix and persisted with the artifact, so a disk-served analysis can
 /// render an annotated graph without re-elaborating the source.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct GraphLabels {
     /// The labels at which each node is accessed (any access kind).
     pub at: BTreeMap<Node, BTreeSet<Label>>,
@@ -45,7 +44,7 @@ impl GraphLabels {
 }
 
 /// A directed information-flow graph.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FlowGraph {
     nodes: BTreeSet<Node>,
     succ: BTreeMap<Node, BTreeSet<Node>>,

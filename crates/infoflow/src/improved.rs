@@ -11,13 +11,12 @@
 
 use crate::closure::{table8_step, ClosureExhausted, SpecializedRd};
 use crate::rm::{Access, Node, ResourceMatrix};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use vhdl1_dataflow::{BlockKind, Def, ReachingDefinitions};
 use vhdl1_syntax::{Design, Ident, Label};
 
 /// Options of the improved analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ImprovedOptions {
     /// Treat the variables assigned by the final statements of each process
     /// as outgoing values.  This reproduces the sequential illustration of
@@ -30,7 +29,7 @@ pub struct ImprovedOptions {
 /// Result of the improved closure: the extended global Resource Matrix plus
 /// the synthetic labels allocated for the outgoing assignments of the
 /// environment process `π`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ImprovedClosure {
     /// The extended global Resource Matrix.
     pub matrix: ResourceMatrix,

@@ -9,7 +9,6 @@
 
 use crate::graph::FlowGraph;
 use crate::rm::Node;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use vhdl1_syntax::Ident;
 
@@ -18,7 +17,7 @@ use vhdl1_syntax::Ident;
 pub type Level = u32;
 
 /// A flow policy.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Policy {
     /// Security level per resource name; flows from a higher to a strictly
     /// lower level are violations.  Resources without a level are
@@ -154,7 +153,7 @@ impl Policy {
 }
 
 /// A policy violation: an edge of the flow graph that the policy forbids.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Violation {
     /// Source node of the offending edge.
     pub from: Node,
@@ -177,7 +176,7 @@ impl std::fmt::Display for Violation {
 }
 
 /// The outcome of auditing a flow graph against a policy.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AuditReport {
     /// Every edge that violates the policy.
     pub violations: Vec<Violation>,

@@ -18,13 +18,12 @@
 //! (`at_label`, `reads_at`, `modifications_at`, `contains`) are direct map
 //! lookups instead of full scans, and membership tests allocate nothing.
 
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use vhdl1_syntax::{Ident, Label};
 
 /// The access kinds recorded in a Resource Matrix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Access {
     /// Modification of a variable or of the present value of a signal.
     M0,
@@ -74,7 +73,7 @@ impl fmt::Display for Access {
 
 /// A node of the information-flow graph: a plain resource, an incoming value
 /// (`n◦`) or an outgoing value (`n•`).
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Node {
     /// A variable or signal of the program.
     Res(Ident),
@@ -124,7 +123,7 @@ impl fmt::Display for Node {
 }
 
 /// One entry `(n, l, A)` of a Resource Matrix, in owned form.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RmEntry {
     /// The accessed resource (or incoming/outgoing node).
     pub node: Node,
@@ -172,7 +171,7 @@ impl RmEntryRef<'_> {
 
 /// A Resource Matrix: a set of `(node, label, access)` entries, stored
 /// label-first with packed access bitmasks.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ResourceMatrix {
     by_label: BTreeMap<Label, BTreeMap<Node, u8>>,
     len: usize,

@@ -24,8 +24,8 @@
 //! * [`TraceEvent`] — deadline/cancel trips observed at stage boundaries
 //!   (the watchdog story of `vhdl1c --deadline-ms`).
 //! * [`render_prometheus`] — Prometheus text-format exposition over a
-//!   snapshot plus the engine counters: the metrics endpoint groundwork a
-//!   future `vhdl1d` daemon mounts as `/metrics`.
+//!   snapshot plus the engine counters, which the `vhdl1d` daemon serves
+//!   as `/metrics`.
 //!
 //! # What is deterministic
 //!
@@ -33,7 +33,8 @@
 //! depend only on the inputs and the options — they are byte-identical
 //! across runs and worker counts.  `wall_ns` and event timings are
 //! wall-clock and vary run to run.  Consumers that gate on profiles (the
-//! `xtask profile-series` fold) must use only the deterministic side.
+//! stage-run assertions of the CLI's profile tests) must use only the
+//! deterministic side.
 //!
 //! # Zero overhead when disabled
 //!

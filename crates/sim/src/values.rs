@@ -6,11 +6,10 @@
 //! semantics applies to the multiset of active values at each
 //! synchronisation point.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A single standard-logic value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Logic {
     /// `'U'` — uninitialised.
     U,
@@ -209,7 +208,7 @@ pub fn resolve_all<I: IntoIterator<Item = Logic>>(values: I) -> Option<Logic> {
 /// Vectors are stored in *declaration order* (leftmost element first, exactly
 /// as written in a string literal), with index mapping supplied by the
 /// declared type when slices are taken.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Value {
     /// A scalar `std_logic` value.
     Logic(Logic),

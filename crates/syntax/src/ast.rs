@@ -10,7 +10,6 @@
 //! program, as required by the analyses of Sections 4 and 5.
 
 use crate::token::Span;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of an entity, architecture, process, block, variable or signal.
@@ -21,7 +20,7 @@ pub type Ident = String;
 pub type Label = u32;
 
 /// A complete VHDL1 program: a sequence of design units.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Program {
     /// The design units in source order.
     pub units: Vec<DesignUnit>,
@@ -67,7 +66,7 @@ impl Program {
 }
 
 /// Either an entity declaration or an architecture body.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DesignUnit {
     /// `entity i_e is port(...); end i_e;`
     Entity(Entity),
@@ -76,7 +75,7 @@ pub enum DesignUnit {
 }
 
 /// An entity declaration: the interface of a design to its environment.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Entity {
     /// Entity identifier `i_e`.
     pub name: Ident,
@@ -85,7 +84,7 @@ pub struct Entity {
 }
 
 /// A single port of an entity.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Port {
     /// The signal name used to refer to the port.
     pub name: Ident,
@@ -98,7 +97,7 @@ pub struct Port {
 }
 
 /// Direction of a port as seen from the design.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PortMode {
     /// The environment may alter the signal's value.
     In,
@@ -116,7 +115,7 @@ impl fmt::Display for PortMode {
 }
 
 /// Types of VHDL1 values: single `std_logic` wires or vectors of them.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Type {
     /// A single standard-logic value.
     StdLogic,
@@ -192,7 +191,7 @@ impl fmt::Display for Type {
 }
 
 /// Index ordering of a vector range or slice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RangeDir {
     /// `z1 downto z2` — indices decrease left to right.
     Downto,
@@ -210,7 +209,7 @@ impl fmt::Display for RangeDir {
 }
 
 /// A slice `(z1 downto z2)` / `(z1 to z2)` of a vector variable or signal.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Slice {
     /// Index ordering as written.
     pub dir: RangeDir,
@@ -262,7 +261,7 @@ impl fmt::Display for Slice {
 }
 
 /// An architecture body: the behavioural specification of an entity.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Architecture {
     /// Architecture identifier `i_a`.
     pub name: Ident,
@@ -275,7 +274,7 @@ pub struct Architecture {
 }
 
 /// Concurrent statements (`css` in Figure 1).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Concurrent {
     /// Concurrent signal assignment `s <= e` (possibly sliced).  Equivalent to
     /// a process sensitive to the free signals of `e` containing the same
@@ -293,7 +292,7 @@ pub enum Concurrent {
 }
 
 /// `i_p : process decl; begin ss; end process i_p`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Process {
     /// Process identifier `i_p`.
     pub name: Ident,
@@ -304,7 +303,7 @@ pub struct Process {
 }
 
 /// `i_b : block decl; begin css; end block i_b`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Block {
     /// Block identifier `i_b`.
     pub name: Ident,
@@ -315,7 +314,7 @@ pub struct Block {
 }
 
 /// Declarations of local variables and signals.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Decl {
     /// `variable x : type := e`.
     Variable {
@@ -377,7 +376,7 @@ impl Decl {
 }
 
 /// Assignment target: a name with an optional slice.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Target {
     /// The assigned variable or signal.
     pub name: Ident,
@@ -421,7 +420,7 @@ impl fmt::Display for Target {
 ///
 /// Elementary statements carry the [`Label`] of the elementary block they
 /// form; `if` and `while` label their condition.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Stmt {
     /// `null`.
     Null {
@@ -547,7 +546,7 @@ impl Stmt {
 }
 
 /// Unary logical operators on `std_logic` and vectors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum UnOp {
     /// Logical negation.
     Not,
@@ -562,7 +561,7 @@ impl fmt::Display for UnOp {
 }
 
 /// Binary operators: logical (`opbm`), relational and arithmetic (`opa`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BinOp {
     /// Logical conjunction.
     And,
@@ -643,7 +642,7 @@ impl fmt::Display for BinOp {
 }
 
 /// Expressions (`e` in Figure 1).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Expr {
     /// A `std_logic` character literal such as `'1'` or `'Z'`.
     Logic(char),

@@ -17,11 +17,10 @@
 
 use crate::ast::*;
 use crate::error::SyntaxError;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// How a signal is connected to the environment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SignalKind {
     /// Declared `in` in the entity: the environment drives it.
     PortIn,
@@ -32,7 +31,7 @@ pub enum SignalKind {
 }
 
 /// A signal of the elaborated design.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SignalInfo {
     /// Signal name.
     pub name: Ident,
@@ -45,7 +44,7 @@ pub struct SignalInfo {
 }
 
 /// A local variable of a process.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VariableInfo {
     /// Variable name.
     pub name: Ident,
@@ -56,7 +55,7 @@ pub struct VariableInfo {
 }
 
 /// A process of the elaborated design with a labelled body.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ElabProcess {
     /// Process identifier `i_p` (synthesised for concurrent assignments).
     pub name: Ident,
@@ -70,7 +69,7 @@ pub struct ElabProcess {
 
 /// An elaborated VHDL1 design: one architecture with its entity interface,
 /// flattened into a set of processes sharing a global signal namespace.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Design {
     /// Architecture name.
     pub name: Ident,
